@@ -23,7 +23,9 @@ float64 everywhere, from-scratch observation encoding):
   vs the seed per-transition loop.
 
 Results are recorded to ``BENCH_rl.json`` at the repo root so the perf
-trajectory is gated over time (see ``tools/check_bench.py``).
+trajectory is gated over time (see ``tools/check_bench.py``).  Each section
+is recorded only after its assertions pass, so a failing run never becomes
+the committed baseline.
 
 Set ``RL_BENCH_SMOKE=1`` (CI) for reduced budgets with relaxed speedup
 floors — CI boxes are too noisy for the full gates, which are asserted in
@@ -216,11 +218,11 @@ def test_observation_encoding_throughput(benchmark):
             "speedup": speedup,
         }
     print("\n" + report.to_text())
-    _record("observation_encoding", payload)
     for name, count, eager_s, fast_s in rows:
         assert eager_s / fast_s >= MIN_ENCODE_SPEEDUP, \
             (f"{name}: incremental encoding only {eager_s / fast_s:.2f}x "
              f"faster (gate {MIN_ENCODE_SPEEDUP}x)")
+    _record("observation_encoding", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +401,12 @@ def test_env_steps_throughput(benchmark):
             },
         }
     print("\n" + report.to_text())
-    _record("env_steps", payload)
     for (name, steps, fast_s, fast64_s, eager_s, stats, fast_stages,
          eager_stages, embed_checks) in rows:
         assert eager_s / fast_s >= MIN_ENV_SPEEDUP, \
             (f"{name}: fast env loop only {eager_s / fast_s:.2f}x faster "
              f"(gate {MIN_ENV_SPEEDUP}x)")
+    _record("env_steps", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +493,8 @@ def test_ppo_update_speedup(benchmark):
             "speedup_float64": loop_s / batched64_s,
         }
     print("\n" + report.to_text())
-    _record("ppo_update", payload)
     for name, transitions, batched_s, batched64_s, loop_s in rows:
         assert loop_s / batched_s >= MIN_PPO_SPEEDUP, \
             (f"{name}: batched PPO update only {loop_s / batched_s:.2f}x "
              f"faster (gate {MIN_PPO_SPEEDUP}x)")
+    _record("ppo_update", payload)

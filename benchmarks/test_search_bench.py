@@ -1,6 +1,6 @@
 """Benchmarks for the incremental rewrite engine.
 
-Four measurements on the largest model-zoo graphs (InceptionV3 is the
+Three measurements on the largest model-zoo graphs (InceptionV3 is the
 largest convolutional entry, BERT the largest transformer entry):
 
 * **candidate throughput** — how many rewrite candidates per second the
@@ -9,18 +9,15 @@ largest convolutional entry, BERT the largest transformer entry):
   candidate); the incremental path is lazy candidates + delta costing.
 * **end-to-end TASO search** — ``TASOOptimizer.optimise`` wall-clock,
   eager vs incremental.
-* **intra-search parallelism** — the same search sharded across the
-  persistent worker pool, with a per-stage overhead breakdown
-  (serialise / dispatch / compute) and the host core count recorded so
-  the CI gate knows whether a scaling floor is even physical.
 * **measured end-to-end** — the TASO-optimised graphs executed for real
   with the numpy backend: the cost-model win must survive contact with
   actual kernels.
 
 Every variant must produce *identical* results (costs bit-for-bit, graph
 hashes byte-for-byte); the speedup assertions make regressions in the lazy
-path fail loudly.  Results are appended to ``BENCH_search.json`` at the
-repo root so the perf trajectory is recorded over time.
+path fail loudly.  Each section is appended to ``BENCH_search.json`` at the
+repo root only after its assertions pass, so a failing run never becomes the
+committed baseline.
 
 Set ``SEARCH_BENCH_SMOKE=1`` (CI) for a single repetition with relaxed
 speedup thresholds — CI boxes are too noisy for the full 3x/2x gates, which
@@ -36,8 +33,7 @@ from repro.cost import CostModel
 from repro.exec import NumpyExecutor
 from repro.experiments import ExperimentReport, build_small_model
 from repro.rules import default_ruleset
-from repro.search import TASOOptimizer, WorkerPool
-from repro.service.profiling import StageProfiler
+from repro.search import TASOOptimizer
 
 SMOKE = os.environ.get("SEARCH_BENCH_SMOKE") == "1"
 REPEATS = 1 if SMOKE else 3
@@ -126,11 +122,11 @@ def test_candidate_generation_throughput(benchmark):
             "speedup": speedup,
         }
     print("\n" + report.to_text())
-    _record("candidate_throughput", payload)
     for name, count, eager_s, lazy_s in rows:
         assert eager_s / lazy_s >= MIN_CANDIDATE_SPEEDUP, \
             (f"{name}: lazy candidate path only {eager_s / lazy_s:.2f}x "
              f"faster (gate {MIN_CANDIDATE_SPEEDUP}x)")
+    _record("candidate_throughput", payload)
 
 
 def test_taso_end_to_end_speedup(benchmark):
@@ -179,90 +175,11 @@ def test_taso_end_to_end_speedup(benchmark):
             "iterations": TASO_ITERATIONS,
         }
     print("\n" + report.to_text())
-    _record("taso_end_to_end", payload)
     for name, eager_s, incremental_s in rows:
         assert eager_s / incremental_s >= MIN_E2E_SPEEDUP, \
             (f"{name}: incremental TASO only "
              f"{eager_s / incremental_s:.2f}x faster (gate {MIN_E2E_SPEEDUP}x)")
-
-
-def test_intra_search_parallel(benchmark):
-    """Pooled candidate evaluation retraces the serial search exactly.
-
-    The speedup is recorded together with ``cores`` — on a single-core CI
-    box sharding CPU-bound work over processes cannot beat serial, so the
-    CI gate (``tools/check_bench.py``) only enforces its scaling floor
-    when the recording host actually had cores to scale onto.  The
-    equivalence witnesses are enforced unconditionally.
-    """
-    report = ExperimentReport(
-        experiment="Search bench",
-        description="TASO serial vs worker-pool sharded (4 workers)")
-    payload = {"cores": os.cpu_count() or 1}
-    profiler = StageProfiler()
-
-    def run():
-        rows = []
-        with WorkerPool(num_workers=4, profiler=profiler) as pool:
-            for name in LARGEST_MODELS:
-                graph = build_small_model(name)
-
-                def serial_run():
-                    return TASOOptimizer(
-                        max_iterations=TASO_ITERATIONS).optimise(graph, name)
-
-                def pooled_run():
-                    return TASOOptimizer(
-                        max_iterations=TASO_ITERATIONS,
-                        pool=pool).optimise(graph, name)
-
-                serial_s, serial = _best_of(serial_run)
-                pooled_s, pooled = _best_of(pooled_run)
-                # Equivalence gate: bit-for-bit, not approximate.
-                assert pooled.final_cost_ms == serial.final_cost_ms, name
-                assert pooled.final_graph.structural_hash() \
-                    == serial.final_graph.structural_hash(), name
-                assert pooled.applied_rules == serial.applied_rules, name
-                assert pooled.stats["fallback_batches"] == 0, name
-                rows.append((name, serial_s, pooled_s, pooled.stats))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    stages = profiler.snapshot()
-    stage_total = sum(stages.values()) or 1.0
-    for name, serial_s, pooled_s, stats in rows:
-        speedup = serial_s / pooled_s
-        report.add(name, serial_s=serial_s, parallel_s=pooled_s,
-                   speedup_x=speedup)
-        payload[name] = {
-            "serial_seconds": serial_s,
-            "parallel_seconds": pooled_s,
-            "speedup": speedup,
-            "workers": 4,
-            "bytes_shipped": stats["bytes_shipped"],
-            "equivalence": {
-                "final_hash": "matched",
-                "final_cost_float64": "matched",
-                "rules_checked": len(LARGEST_MODELS),
-            },
-        }
-    payload["stages"] = {
-        name: {"seconds": seconds, "fraction": seconds / stage_total}
-        for name, seconds in stages.items()}
-    for name, seconds in sorted(stages.items()):
-        report.add(f"stage:{name}", seconds=seconds,
-                   fraction=seconds / stage_total)
-    print("\n" + report.to_text())
-    _record("intra_search_parallel", payload)
-    # Core-aware floor, mirrored by the CI gate: with real cores the pool
-    # must win outright; on a single-core host sharding CPU-bound work
-    # over processes is pure timeslicing, so only pathological overhead
-    # (e.g. re-shipping full graphs every iteration) fails.
-    floor = 1.2 if (os.cpu_count() or 1) >= 2 else 0.15
-    for name, serial_s, pooled_s, _ in rows:
-        assert serial_s / pooled_s >= floor, \
-            (f"{name}: pooled search {serial_s / pooled_s:.2f}x vs serial "
-             f"(floor {floor}x on {os.cpu_count()} core(s))")
+    _record("taso_end_to_end", payload)
 
 
 def test_measured_end_to_end(benchmark):
@@ -299,7 +216,6 @@ def test_measured_end_to_end(benchmark):
             "rules_applied": rules,
         }
     print("\n" + report.to_text())
-    _record("measured_end_to_end", payload)
     for name, baseline_ms, optimised_ms, rules in rows:
         assert rules > 0, f"{name}: search applied no rewrites"
         # Executed wins are genuinely small on reduced-size graphs (the
@@ -308,3 +224,4 @@ def test_measured_end_to_end(benchmark):
         assert baseline_ms / optimised_ms >= 0.97, \
             (f"{name}: optimised graph executes slower "
              f"({baseline_ms:.2f}ms -> {optimised_ms:.2f}ms)")
+    _record("measured_end_to_end", payload)

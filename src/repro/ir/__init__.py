@@ -6,7 +6,7 @@ Public surface:
 * :class:`~repro.ir.ops.OpType` and shape inference
 * :class:`~repro.ir.graph.Graph` and :class:`~repro.ir.builder.GraphBuilder`
 * JSON (ONNX-like) serialisation helpers
-* binary wire codec for whole graphs and graph deltas (:mod:`repro.ir.wire`)
+* binary wire codec for whole graphs (:mod:`repro.ir.wire`)
 """
 
 from .tensor import DataType, TensorShape, TensorSpec, make_spec
@@ -14,8 +14,7 @@ from .ops import OpType, OP_REGISTRY, infer_output_spec, op_index, num_op_types
 from .graph import Edge, Graph, GraphDelta, GraphValidationError, Node, NodeId
 from .builder import GraphBuilder
 from .serialize import graph_from_dict, graph_to_dict, load_graph, save_graph
-from .wire import (WireFormatError, apply_delta, decode_graph, delta_summary,
-                   encode_delta, encode_graph, roundtrip_equal)
+from .wire import WireFormatError, decode_graph, encode_graph, roundtrip_equal
 
 __all__ = [
     "DataType", "TensorShape", "TensorSpec", "make_spec",
@@ -23,6 +22,5 @@ __all__ = [
     "Edge", "Graph", "GraphDelta", "GraphValidationError", "Node", "NodeId",
     "GraphBuilder",
     "graph_from_dict", "graph_to_dict", "load_graph", "save_graph",
-    "WireFormatError", "apply_delta", "decode_graph", "delta_summary",
-    "encode_delta", "encode_graph", "roundtrip_equal",
+    "WireFormatError", "decode_graph", "encode_graph", "roundtrip_equal",
 ]

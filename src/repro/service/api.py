@@ -72,7 +72,6 @@ class OptimisationService:
         cache_policy: Eviction bounds for the persistent tier (max entries
             / max bytes / TTL); unbounded when omitted.
         max_pending: Bounded admission queue (see :class:`JobScheduler`).
-        use_processes: Back-compat alias for ``backend="process"``.
         backend: Worker flavour — ``"thread"`` (default), ``"process"``,
             or ``"async"`` (event loop over local process workers and any
             ``remote_endpoints``).
@@ -100,7 +99,6 @@ class OptimisationService:
                  cache_dir: Optional[str] = None,
                  cache_policy: Optional[EvictionPolicy] = None,
                  max_pending: int = 256,
-                 use_processes: bool = False,
                  backend: Optional[str] = None,
                  remote_endpoints: Optional[Sequence[str]] = None,
                  router: str = "health",
@@ -108,11 +106,10 @@ class OptimisationService:
                  lease_config: Optional[LeaseConfig] = None):
         self.cache = cache if cache is not None else FingerprintCache(
             capacity=cache_capacity, cache_dir=cache_dir, policy=cache_policy)
-        if backend is None and remote_endpoints:
-            backend = "async"
+        if backend is None:
+            backend = "async" if remote_endpoints else "thread"
         self.scheduler = JobScheduler(num_workers=num_workers,
                                       max_pending=max_pending,
-                                      use_processes=use_processes,
                                       backend=backend,
                                       remote_endpoints=list(remote_endpoints
                                                             or []),
@@ -509,7 +506,6 @@ class OptimisationService:
         stats = {
             "workers": self.scheduler.num_workers,
             "backend": self.scheduler.backend,
-            "use_processes": self.scheduler.use_processes,
             "jobs": self.scheduler.counts(),
             "cache_entries": len(self.cache),
             "cache": self.cache.stats.to_dict(),

@@ -179,7 +179,6 @@ class JobScheduler:
             produced; polling a purged id raises :class:`UnknownJobError`.
         backend: ``"thread"`` / ``"process"`` / ``"async"`` (see the module
             docstring).
-        use_processes: Back-compat alias for ``backend="process"``.
         remote_endpoints: ``"host:port"`` strings of off-box workers for
             the async backend (ignored otherwise).
         router: Remote routing policy for the async backend —
@@ -191,20 +190,16 @@ class JobScheduler:
     """
 
     def __init__(self, num_workers: int = 4, max_pending: int = 256,
-                 max_history: int = 1024, use_processes: bool = False,
-                 backend: Optional[str] = None,
+                 max_history: int = 1024, backend: str = "thread",
                  remote_endpoints: Optional[List[str]] = None,
                  router: str = "health"):
         self.num_workers = max(1, int(num_workers))
         self.max_pending = max(1, int(max_pending))
         self.max_history = max(1, int(max_history))
-        if backend is None:
-            backend = "process" if use_processes else "thread"
         if backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}")
         self.backend = backend
-        self.use_processes = backend == "process"
         self.remote_endpoints = list(remote_endpoints or [])
         if self.remote_endpoints and backend != "async":
             # Silently running everything locally would be worse than

@@ -1,9 +1,9 @@
 """Round-trip property tests for the binary graph wire format.
 
-The parallel search engine's determinism contract rests on the codec being
-*exact*: a decoded replica must agree with the original on node ids, the
-private id counter, attrs, output specs, edges — and therefore on the
-structural hash and on every cost estimate.  These tests sweep the whole
+Remote search rests on the codec being *exact*: a decoded replica must
+agree with the original on node ids, the private id counter, attrs, output
+specs, edges — and therefore on the structural hash and on every cost
+estimate.  These tests sweep the whole
 model zoo plus a band of fuzzer-generated graphs to hold that line as the
 op registry grows.
 """
@@ -17,8 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "exec"))
 from graphgen import random_graph  # noqa: E402
 
 from repro.cost import CostModel
-from repro.ir import (GraphBuilder, WireFormatError, apply_delta,
-                      decode_graph, delta_summary, encode_delta, encode_graph,
+from repro.ir import (GraphBuilder, WireFormatError, decode_graph, encode_graph,
                       roundtrip_equal)
 from repro.models import build_model, list_models
 from repro.rules import default_ruleset
@@ -55,48 +54,6 @@ def test_fuzzed_graph_roundtrip(seed):
     graph = random_graph(seed=seed, num_ops=16)
     replica = decode_graph(encode_graph(graph), validate=True)
     _assert_replica(graph, replica)
-
-
-@pytest.mark.parametrize("seed", [0, 7, 13])
-def test_delta_roundtrip_through_rewrites(seed):
-    """apply_delta(parent, encode_delta(parent, child)) is exact."""
-    graph = build_model("squeezenet")
-    ruleset = default_ruleset()
-    applied = 0
-    current = graph
-    for candidate in ruleset.all_candidates(current):
-        child = candidate.graph
-        payload = encode_delta(current, child)
-        rebuilt = apply_delta(current, payload, validate=True)
-        _assert_replica(child, rebuilt)
-        summary = delta_summary(payload)
-        assert summary["installed"] + summary["removed"] > 0
-        assert summary["payload_bytes"] == len(payload)
-        assert len(payload) < len(encode_graph(child)), \
-            "delta should be smaller than re-shipping the graph"
-        current = child
-        applied += 1
-        if applied >= 5 + seed % 3:
-            break
-    assert applied > 0
-
-
-def test_delta_chain_replica_tracks_originals():
-    """A replica advanced only by deltas stays bit-identical for ever."""
-    graph = build_model("resnet18")
-    ruleset = default_ruleset()
-    replica = decode_graph(encode_graph(graph))
-    current = graph
-    cm_orig, cm_repl = CostModel(), CostModel()
-    for _ in range(6):
-        candidates = ruleset.all_candidates(current)
-        if not candidates:
-            break
-        child = candidates[0].graph
-        replica = apply_delta(replica, encode_delta(current, child))
-        assert replica.structural_hash() == child.structural_hash()
-        assert cm_repl.estimate_cached(replica) == cm_orig.estimate_cached(child)
-        current = child
 
 
 def test_id_counter_roundtrips():
@@ -140,9 +97,7 @@ def test_malformed_payloads_raise():
     with pytest.raises(WireFormatError):
         decode_graph(b"XX" + payload[2:])
     with pytest.raises(WireFormatError):
-        apply_delta(graph, payload)  # graph payload where a delta is expected
-    with pytest.raises(WireFormatError):
-        decode_graph(encode_delta(graph, graph))
+        decode_graph(payload[:3] + b"\x02" + payload[4:])  # unknown kind
 
 
 def test_wire_is_compact():

@@ -25,11 +25,11 @@ missing from the fresh file fails (the benchmark silently did not run);
 one missing from the baseline is reported but passes (first run of a new
 benchmark).
 
-Parallel-scaling ratios are *core-aware* (:data:`CORE_GATES`): sharding
-CPU-bound search over processes cannot beat serial on a one-core box, so
-those floors consult the ``cores`` count the benchmark records alongside
-the speedup — >=1.2x when the recording host had real cores to scale
-onto, and only a pathological-overhead floor otherwise.  Core gates are
+Parallel-scaling ratios are *core-aware* (:data:`CORE_GATES`): running
+CPU-bound searches in several processes cannot beat serial on a one-core
+box, so those floors consult the ``cores`` count the benchmark records
+alongside the speedup — >=1.2x when the recording host had real cores to
+scale onto, and only a pathological-overhead floor otherwise.  Core gates are
 absolute in both modes (the magnitude depends on the recording host, not
 on the run's budgets).
 
@@ -101,15 +101,11 @@ GATES: Dict[str, Dict[str, float]] = {
 #: ``pattern -> (cores key, multi-core floor, single-core floor)``.  The
 #: multi-core floor applies when the *fresh* results record >=2 cores
 #: under the cores key; otherwise only the single-core floor (which
-#: catches pathological overhead such as re-shipping whole graphs every
-#: iteration) is enforced and the scaling stays informational.
+#: catches pathological dispatch overhead) is enforced and the scaling
+#: stays informational.
 CORE_GATES: Dict[str, Dict[str, Tuple[str, float, float]]] = {
     "BENCH_service.json": {
         "parallel_scaling.speedup": ("parallel_scaling.cores", 1.2, 0.15),
-    },
-    "BENCH_search.json": {
-        "intra_search_parallel.*.speedup":
-            ("intra_search_parallel.cores", 1.2, 0.15),
     },
 }
 
@@ -127,11 +123,7 @@ REQUIRED_POSITIVE: Dict[str, Tuple[str, ...]] = {
         "calibration.samples",
         "models.*.execute_ms",
     ),
-    "BENCH_search.json": (
-        "intra_search_parallel.*.equivalence.rules_checked",
-        "intra_search_parallel.cores",
-        "measured_end_to_end.*.rules_applied",
-    ),
+    "BENCH_search.json": ("measured_end_to_end.*.rules_applied",),
     "BENCH_service.json": (
         "parallel_scaling.equivalence.models_checked",
         "parallel_scaling.cores",
@@ -146,10 +138,6 @@ REQUIRED_LITERAL: Dict[str, Dict[str, str]] = {
     },
     "BENCH_exec.json": {
         "equivalence.status": "passed",
-    },
-    "BENCH_search.json": {
-        "intra_search_parallel.*.equivalence.final_hash": "matched",
-        "intra_search_parallel.*.equivalence.final_cost_float64": "matched",
     },
     "BENCH_service.json": {
         "parallel_scaling.equivalence.final_hash": "matched",
