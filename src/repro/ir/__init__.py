@@ -14,7 +14,7 @@ from .ops import OpType, OP_REGISTRY, infer_output_spec, op_index, num_op_types
 from .graph import Edge, Graph, GraphDelta, GraphValidationError, Node, NodeId
 from .builder import GraphBuilder
 from .serialize import graph_from_dict, graph_to_dict, load_graph, save_graph
-from .wire import WireFormatError, decode_graph, encode_graph, roundtrip_equal
+from .wire import WireFormatError, decode_graph, encode_graph
 
 __all__ = [
     "DataType", "TensorShape", "TensorSpec", "make_spec",
@@ -22,5 +22,5 @@ __all__ = [
     "Edge", "Graph", "GraphDelta", "GraphValidationError", "Node", "NodeId",
     "GraphBuilder",
     "graph_from_dict", "graph_to_dict", "load_graph", "save_graph",
-    "WireFormatError", "decode_graph", "encode_graph", "roundtrip_equal",
+    "WireFormatError", "decode_graph", "encode_graph",
 ]

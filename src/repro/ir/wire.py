@@ -30,8 +30,7 @@ from .graph import Edge, Graph, Node, NodeId
 from .ops import OpType
 from .tensor import DataType, TensorShape, TensorSpec
 
-__all__ = ["encode_graph", "decode_graph", "roundtrip_equal",
-           "WireFormatError", "WIRE_VERSION"]
+__all__ = ["encode_graph", "decode_graph", "WireFormatError", "WIRE_VERSION"]
 
 WIRE_VERSION = 1
 
@@ -370,17 +369,3 @@ def _build(name: str, next_id: int,
         next_id, max((nid for nid, _, _ in records), default=-1) + 1)
     graph._rebuild_indices()
     return graph
-
-
-def roundtrip_equal(a: Graph, b: Graph) -> bool:
-    """True when two graphs are indistinguishable to the engine: same ids,
-    same id counter, same structure per node, same structural hash."""
-    if a.id_bound != b.id_bound or set(a.nodes) != set(b.nodes):
-        return False
-    for nid, node in a.nodes.items():
-        twin = b.nodes[nid]
-        if (node.op_type is not twin.op_type or node.attrs != twin.attrs
-                or node.outputs != twin.outputs or node.name != twin.name
-                or list(a._in_edges[nid]) != list(b._in_edges[nid])):
-            return False
-    return a.structural_hash() == b.structural_hash()
